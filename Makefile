@@ -98,7 +98,8 @@ cluster-chaos:
 
 # Fastlane end-to-end: export a synthetic trace, convert NDJSON <-> v2
 # both ways (byte-identity both directions), replay both formats at 1
-# and 2 ingest workers (landscape bytes identical), then SIGKILL a
+# and 2 ingest workers and v2 with tracing off (landscape bytes
+# identical), then SIGKILL a
 # throttled daemon mid-v2-stream and prove the resumed output still
 # matches. Mirrors the CI wire-smoke job.
 wire-smoke:
@@ -119,6 +120,9 @@ wire-smoke:
 	python -m repro.cli replay wire-smoke/trace.v2 \
 		--out wire-smoke/v2.landscape
 	diff wire-smoke/v2.landscape wire-smoke/ndjson.landscape
+	python -m repro.cli replay wire-smoke/trace.v2 --trace-sample 0 \
+		--out wire-smoke/v2-untraced.landscape
+	diff wire-smoke/v2-untraced.landscape wire-smoke/ndjson.landscape
 	python -m repro.cli replay wire-smoke/trace.v2 \
 		--ingest-workers 2 --batch-lines 256 \
 		--out wire-smoke/v2-w2.landscape

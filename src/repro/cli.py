@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--batch-lines", type=int, default=256, metavar="N",
-            help="decode/submit records in batches of this many input "
-                 "lines (1 = line-at-a-time; output bytes never change)",
+            help="records per engine submission (the flush size; it "
+                 "selects no code path and output bytes never change)",
         )
         cmd.add_argument(
             "--profile", default=None, metavar="PATH",
@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--batch-lines", type=int, default=256, metavar="N",
-            help="per-partition decode/submit batch size",
+            help="per-partition records per engine submission (the "
+                 "flush size; output bytes never change)",
         )
         cmd.add_argument(
             "--trace-sample", type=int, default=0, metavar="N",

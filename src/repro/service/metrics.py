@@ -254,9 +254,14 @@ class Histogram(_Metric):
         return data
 
     def observe(self, value: float, **labels: str) -> None:
+        self.observe_at(_label_key(labels), value)
+
+    def observe_at(self, key: _LabelKey, value: float) -> None:
+        """:meth:`observe` under a label key the caller built once — the
+        sorted ``((name, value), ...)`` tuple — for per-record hot paths."""
         if value < 0:
             raise ValueError(f"histogram {self.name} observed negative {value}")
-        self._data(_label_key(labels)).observe(value)
+        self._data(key).observe(value)
 
     def merge_data(self, payload: Mapping[str, Any], **labels: str) -> None:
         """Fold an exported label-set payload (another process's counts)

@@ -75,9 +75,6 @@ class ReorderBuffer:
         self.reordered = 0
         self.dropped = 0
         self.released = 0
-        #: Optional StageTracer; when set, every push is a sampled
-        #: ``reorder`` span (never checkpointed — purely observational).
-        self.tracer: Any = None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -86,19 +83,6 @@ class ReorderBuffer:
     def depth(self) -> int:
         """Records currently buffered."""
         return len(self._heap)
-
-    @property
-    def max_seen(self) -> float:
-        """Highest timestamp ever pushed — buffered records included.
-
-        Two invariants hang off this bound: every record still in the
-        heap has a timestamp ``<= max_seen``, and the downstream
-        watermark only advances on *released* records, so
-        ``watermark <= max_seen`` always.  The engine's columnar fast
-        path uses it to prove that a whole frame cannot trigger an epoch
-        emission before pushing a single record — which is what makes
-        batching the per-record emission check safe."""
-        return self._max_seen
 
     @property
     def saturated(self) -> bool:
@@ -113,16 +97,6 @@ class ReorderBuffer:
 
     def push(self, record: ForwardedLookup) -> list[ForwardedLookup]:
         """Buffer one record; return the records this push released."""
-        tracer = self.tracer
-        if tracer is None:
-            return self._push(record)
-        t0 = tracer.start("reorder")
-        released = self._push(record)
-        if t0:
-            tracer.stop("reorder", t0, records=len(released))
-        return released
-
-    def _push(self, record: ForwardedLookup) -> list[ForwardedLookup]:
         if record.timestamp < self._max_seen:
             self.reordered += 1
         else:

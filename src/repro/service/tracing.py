@@ -131,8 +131,8 @@ class StageTracer:
 
     Batched callers go one cheaper: :meth:`plan` reserves a whole
     batch's spans in one call and returns the sampled offsets, so the
-    per-record cost drops to an integer compare (the engine's traced
-    batch path and the daemon's chunked decode use this).
+    per-record cost drops to an integer compare (the engine's batch
+    loop times reorder and route this way).
     """
 
     def __init__(
@@ -218,9 +218,10 @@ class StageTracer:
         self._total_ns[stage] = self._total_ns.get(stage, 0) + dt
         if dt > self._max_ns.get(stage, 0):
             self._max_ns[stage] = dt
-        self.latency.observe(dt, stage=stage)
+        key = (("stage", stage),)
+        self.latency.observe_at(key, dt)
         if records is not None:
-            self.batch.observe(records, stage=stage)
+            self.batch.observe_at(key, records)
         if self.sink is not None:
             event: dict[str, Any] = {"stage": stage, "dt_ns": dt}
             if records is not None:

@@ -268,9 +268,6 @@ class NdjsonReader:
     on_control: Callable[[dict], bool] | None = field(
         default=None, repr=False, compare=False
     )
-    #: Optional :class:`~repro.service.tracing.StageTracer`; when set,
-    #: every ``feed`` becomes a sampled ``decode`` span.
-    tracer: Any = field(default=None, repr=False, compare=False)
 
     @property
     def skipped(self) -> int:
@@ -302,16 +299,6 @@ class NdjsonReader:
         the next bytes, and re-feeds the whole line (``complete=True``
         once it is newline- or stream-end-delimited).
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._feed(line, complete)
-        t0 = tracer.start("decode")
-        record = self._feed(line, complete)
-        if t0:
-            tracer.stop("decode", t0)
-        return record
-
-    def _feed(self, line: bytes | str, complete: bool) -> ForwardedLookup | None:
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
@@ -379,16 +366,6 @@ class NdjsonReader:
         counters, header capture and quarantine behaviour are identical
         to ``feed(line)`` on a complete line.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._feed_parsed(line, data)
-        t0 = tracer.start("decode")
-        record = self._feed_parsed(line, data)
-        if t0:
-            tracer.stop("decode", t0)
-        return record
-
-    def _feed_parsed(self, line: bytes | str, data: Any) -> ForwardedLookup | None:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         stripped = line.strip()

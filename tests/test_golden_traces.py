@@ -76,12 +76,17 @@ def test_golden_replay_byte_identical(name, workers, tmp_path):
     assert _replay(name, tmp_path, workers) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_wire2_twin_replays_byte_identical(workers, tmp_path):
+@pytest.mark.parametrize(
+    "workers,trace_sample",
+    [(1, 16), (4, 16), (1, 0), (4, 0)],
+    ids=["1", "4", "1-untraced", "4-untraced"],
+)
+def test_golden_wire2_twin_replays_byte_identical(workers, trace_sample, tmp_path):
     """The committed binary twin of ``murofet_small`` (generated with
     ``repro convert-trace --frame-records 64``) must replay to the same
     committed landscape bytes as the NDJSON original — the wire-v2
-    tentpole anchor, pinned against a committed fixture."""
+    tentpole anchor, pinned against a committed fixture, with Stagewatch
+    sampling on (the default) and off."""
     expected = (GOLDEN_DIR / "murofet_small.landscape.ndjson").read_bytes()
     out = tmp_path / f"v2.w{workers}.ndjson"
     daemon = BotMeterDaemon(
@@ -90,6 +95,7 @@ def test_golden_wire2_twin_replays_byte_identical(workers, tmp_path):
         follow=False,
         batch_lines=256,
         ingest_workers=workers,
+        trace_sample=trace_sample,
     )
     assert daemon.run() == 0
     assert out.read_bytes() == expected

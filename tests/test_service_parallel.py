@@ -114,7 +114,7 @@ class TestByteIdentity:
             engine_a.close()
             engine_b.close()
 
-    def test_serial_submit_batch_equals_submit_loop(self, merged_pair):
+    def test_serial_submit_batch_equals_submit_loop(self, merged_pair, multiserver_run):
         dgas, records, timeline = merged_pair
         loop = ShardedLandscapeEngine(dgas, timeline=timeline)
         batched = ShardedLandscapeEngine(dgas, timeline=timeline)
@@ -123,6 +123,48 @@ class TestByteIdentity:
             out.extend(loop.submit(record))
         out.extend(loop.finalize())
         assert serialize(stream_batched(batched, records)) == serialize(out)
+
+        # on_emit must name the record whose push closed each epoch, at
+        # any batch size.  Over a sorted stream each push releases the
+        # record pushed `capacity` earlier, so the deadline-crossing
+        # record sits in the emitting batch itself or was already held
+        # in the reorder buffer from an earlier batch; both must occur.
+        run = multiserver_run
+        dgas = {"new_goz": run.dga}
+        records = sort_observable(run.observable)
+        capacity = 8
+
+        def annotated(epochs):
+            return [
+                encode_landscape(e.family, e.day_index, e.landscape, e.quality)
+                for e in epochs
+            ]
+
+        loop = ShardedLandscapeEngine(
+            dgas, timeline=run.timeline, reorder_capacity=capacity
+        )
+        reference = []
+        for index, record in enumerate(records):
+            epochs = loop.submit(record)
+            if epochs:
+                reference.append((index, annotated(epochs)))
+        assert reference, "the stream must close an epoch before finalize"
+        in_batch = set()
+        for size in (1, 5, 64, 4096):
+            engine = ShardedLandscapeEngine(
+                dgas, timeline=run.timeline, reorder_capacity=capacity
+            )
+            emitted = []
+            for start in range(0, len(records), size):
+                engine.submit_batch(
+                    records[start : start + size],
+                    on_emit=lambda index, epochs, start=start: emitted.append(
+                        (start + index, annotated(epochs))
+                    ),
+                )
+            assert emitted == reference, f"batch size {size}"
+            in_batch.update(index % size >= capacity for index, _ in reference)
+        assert in_batch == {True, False}
 
 
 class TestCheckpointHandoff:

@@ -40,6 +40,8 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.dns.message import ForwardedLookup
+from repro.service.daemon import BotMeterDaemon
+from repro.service.supervisor import HealthMonitor, HealthState
 from repro.service.wire import NdjsonReader, encode_record
 from repro.service.wire2 import (
     WIRE2_MAGIC,
@@ -505,6 +507,39 @@ class TestLandscapeByteIdentity:
         assert main(["replay", str(corrupted), "--out", str(ref)]) == 0
         assert main(["replay", str(v2), "--out", str(got)]) == 0
         assert got.read_bytes() == ref.read_bytes()
+
+    def test_health_window_counts_records_on_both_wires(self, tmp_path):
+        """The health monitor sees one entry per record whichever wire
+        carries the stream: a v2 frame of thousands of records must not
+        weigh like a single record against the corrupt lines between
+        frames, or a stream NDJSON calls healthy reads as degraded."""
+        ndjson = tmp_path / "trace.ndjson"
+        assert main([
+            "export-trace", "--family", "new_goz", "--bots", "24",
+            "--servers", "2", "--days", "2", "--seed", "7", "--out", str(ndjson),
+        ]) == 0
+        header, *records = ndjson.read_bytes().splitlines()
+        lines = [header]
+        for index, line in enumerate(records):
+            if index and index % 2000 == 0:
+                lines.append(b"{corrupt")
+            lines.append(line)
+        corrupted = tmp_path / "corrupt.ndjson"
+        corrupted.write_bytes(b"\n".join(lines) + b"\n")
+        v2 = tmp_path / "corrupt.v2"
+        assert main(["convert-trace", str(corrupted), "--out", str(v2)]) == 0
+        seen = {}
+        for name, path in (("ndjson", corrupted), ("v2", v2)):
+            health = HealthMonitor()
+            out = tmp_path / f"{name}.landscape"
+            daemon = BotMeterDaemon(
+                path, out_path=out, batch_lines=256, health=health,
+                log_stream=io.StringIO(),
+            )
+            assert daemon.run() == 0
+            seen[name] = (out.read_bytes(), health.state, health.quarantine_fraction)
+        assert seen["v2"] == seen["ndjson"]
+        assert seen["v2"][1] is HealthState.HEALTHY
 
 
 # ---------------------------------------------------------------------------
