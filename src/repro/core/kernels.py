@@ -33,7 +33,6 @@ from __future__ import annotations
 import io
 import json
 import mmap
-import os
 import struct
 import zipfile
 from collections import OrderedDict
@@ -267,7 +266,6 @@ class KernelCache:
 
     def save(self, path: str | Path) -> None:
         """Atomically persist every entry to an ``.npz`` sidecar."""
-        path = Path(path)
         arrays: dict[str, np.ndarray] = {}
         meta: dict[str, Any] = {"schema": KERNEL_CACHE_SCHEMA, "seg_slots": {}}
         for n_boxes, (n_max, m_max, table) in self._occ.items():
@@ -283,21 +281,15 @@ class KernelCache:
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                # Uncompressed (ZIP_STORED) on purpose: it is what lets
-                # `load` serve the arrays straight off one shared mmap.
-                # A torn mapping is impossible: readers map the *old*
-                # inode until os.replace swaps the name, and their mmap
-                # keeps that inode alive until the last view drops.
-                np.savez(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        from ..service import durable  # deferred: service imports this module
+
+        with durable.replacing(path, fsync=True) as fh:
+            # Uncompressed (ZIP_STORED) on purpose: it is what lets
+            # `load` serve the arrays straight off one shared mmap.
+            # A torn mapping is impossible: readers map the *old*
+            # inode until os.replace swaps the name, and their mmap
+            # keeps that inode alive until the last view drops.
+            np.savez(fh, **arrays)
         self._dirty = False
 
     def load(self, path: str | Path) -> int:

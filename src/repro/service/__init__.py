@@ -16,6 +16,9 @@ Modules:
   watermark-based epoch closure and per-epoch quality annotations;
 * :mod:`~repro.service.checkpoint` — atomic JSON checkpoint store with
   a previous-generation fallback;
+* :mod:`~repro.service.durable` — the one write discipline: atomic
+  replace for whole files, a one-call cut back to the checkpointed
+  line count for append-only streams;
 * :mod:`~repro.service.metrics` — counters/gauges, text exposition,
   JSON health snapshot;
 * :mod:`~repro.service.daemon` — the serve/replay loop plus the batch

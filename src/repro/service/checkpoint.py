@@ -7,9 +7,10 @@ document through ``BotMeterDaemon.extra_checkpoint_state``: the network
 ingest tier adds ``sensors`` (the per-sensor released-line cursor map —
 the resume points it acks to connected sensors) and ``net_header`` (the
 trace header that arrived over the wire, so engine configuration
-survives a restart whose sensors resume past their header lines).  Writes are atomic (write to a sibling temp file, flush,
-fsync, :func:`os.replace`), so a crash mid-write leaves the previous
-checkpoint intact and a resumed daemon never sees a torn file.
+survives a restart whose sensors resume past their header lines).  Writes
+go through :func:`repro.service.durable.replacing` with ``fsync=True``,
+so a crash mid-write leaves the previous checkpoint intact and a resumed
+daemon never sees a torn file.
 
 Atomicity protects against *our* crashes; it cannot protect against a
 filesystem that lies (power loss after ``os.replace`` but before the
@@ -46,6 +47,8 @@ import shutil
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
+
+from . import durable
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointError", "CheckpointStore"]
 
@@ -121,9 +124,9 @@ class CheckpointStore:
             current = self.sidecar_path(suffix)
             previous = self.previous_sidecar_path(suffix)
             if previous.exists():
-                tmp = current.with_name(current.name + f".tmp.{os.getpid()}")
-                shutil.copyfile(previous, tmp)
-                os.replace(tmp, current)
+                with open(previous, "rb") as src:
+                    with durable.replacing(current, fsync=True) as fh:
+                        shutil.copyfileobj(src, fh)
             elif current.exists():
                 current.unlink()
 
@@ -137,20 +140,12 @@ class CheckpointStore:
         first, so the two newest generations are always on disk.
         """
         document = {"schema": CHECKPOINT_SCHEMA, **state}
-        tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-        payload = json.dumps(document, sort_keys=True)
+        payload = json.dumps(document, sort_keys=True).encode("utf-8")
         if self.path.exists():
             os.replace(self.path, self.previous_path)
             self._rotate_sidecars()
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        with durable.replacing(self.path, fsync=True) as fh:
+            fh.write(payload)
         self._last_good = self._clock()
 
     def last_good_generation(self) -> float | None:

@@ -70,6 +70,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
 from ..core.confidence import ConfidenceInterval, widen_for_loss
+from . import durable
 from .checkpoint import CheckpointStore
 from .daemon import BotMeterDaemon
 from .engine import ENGINE_STATE_SCHEMA, validate_engine_state
@@ -726,16 +727,34 @@ def _run_partitions(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+def _json_bytes(document: Mapping[str, Any]) -> bytes:
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _atomic_write_json(path: Path, document: Mapping[str, Any]) -> None:
-    _atomic_write_bytes(
-        path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _publish_merged(
+    workdir: Path, outputs: Iterable[Path], checkpoints: Iterable[Path]
+) -> tuple[Path, int]:
+    """Publish a cluster's merged outputs in ``workdir``.
+
+    Merges the partition landscapes in ``outputs`` into
+    ``landscape.ndjson`` and folds the metrics in ``checkpoints`` into
+    ``metrics.prom``, each replaced atomically so a reader never sees a
+    torn file.  An output file that does not exist belongs to a
+    partition that neither ingested nor emitted anything — an empty
+    contribution.  Returns the landscape path and its row count.
+    """
+    merged = merge_landscape_rows(
+        [path.read_bytes().splitlines() for path in outputs if path.exists()]
     )
+    landscape_path = workdir / "landscape.ndjson"
+    with durable.replacing(landscape_path) as fh:
+        fh.write("".join(row + "\n" for row in merged).encode("utf-8"))
+    folded = merge_registry_states(
+        [CheckpointStore(path).load()["metrics"] for path in checkpoints]
+    )
+    with durable.replacing(workdir / "metrics.prom") as fh:
+        fh.write(folded.render_prometheus().encode("utf-8"))
+    return landscape_path, len(merged)
 
 
 def _normalize_plan(
@@ -880,7 +899,8 @@ def cluster_replay(
             resumed = True
         else:
             _clear_segment_state(workdir)
-    _atomic_write_json(manifest_path, manifest)
+    with durable.replacing(manifest_path) as fh:
+        fh.write(_json_bytes(manifest))
 
     t0 = time.monotonic()
     for segment in segments:
@@ -920,14 +940,16 @@ def cluster_replay(
                         writers[0].add_corrupt(unit[1], unit[2])
                 for i in range(n):
                     writers[i].close()
-                    _atomic_write_bytes(paths[i]["input"], buffers[i].getvalue())
+                    with durable.replacing(paths[i]["input"]) as fh:
+                        fh.write(buffers[i].getbuffer())
             else:
                 buckets: list[list[bytes]] = [list(header) for _ in range(n)]
                 for line in payload[segment["start"] : segment["end"]]:
                     buckets[route_line(line, n)].append(line)
                 for i in range(n):
                     body = b"\n".join(buckets[i]) + (b"\n" if buckets[i] else b"")
-                    _atomic_write_bytes(paths[i]["input"], body)
+                    with durable.replacing(paths[i]["input"]) as fh:
+                        fh.write(body)
             if g > 0:
                 previous = segments[g - 1]
                 old_docs = []
@@ -946,10 +968,9 @@ def cluster_replay(
                 for i, document in enumerate(synthesized):
                     document["input"] = str(paths[i]["input"])
                     CheckpointStore(paths[i]["checkpoint"]).save(document)
-            _atomic_write_json(
-                prepared_marker,
-                {"segment": g, "partitions": n, "lines": segment["end"] - segment["start"]},
-            )
+            lines = segment["end"] - segment["start"]
+            with durable.replacing(prepared_marker) as fh:
+                fh.write(_json_bytes({"segment": g, "partitions": n, "lines": lines}))
         configs = [
             {
                 "label": f"seg{g}-p{i:02d}",
@@ -979,36 +1000,27 @@ def cluster_replay(
                 "records_consumed": int(document["records_consumed"]),
                 "landscapes_emitted": int(document["landscapes_emitted"]),
             }
-        _atomic_write_json(
-            done_marker, {"segment": g, "partitions": n, "cursors": cursors}
-        )
+        with durable.replacing(done_marker) as fh:
+            fh.write(_json_bytes({"segment": g, "partitions": n, "cursors": cursors}))
         print(
             f"cluster-replay: segment {g} done "
             f"({n} partitions, lines {segment['start']}..{segment['end']})",
             file=log,
         )
 
-    row_streams = []
-    for segment in segments:
-        for i in range(segment["partitions"]):
-            out_path = _seg_paths(workdir, segment["index"], i)["out"]
-            # A partition that neither ingested nor emitted anything in
-            # its segment never created the file — an empty contribution.
-            if out_path.exists():
-                row_streams.append(out_path.read_bytes().splitlines())
-    merged = merge_landscape_rows(row_streams)
-    landscape_path = workdir / "landscape.ndjson"
-    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
     last = segments[-1]
-    final_metrics = merge_registry_states(
+    landscape_path, rows = _publish_merged(
+        workdir,
         [
-            CheckpointStore(
-                _seg_paths(workdir, last["index"], i)["checkpoint"]
-            ).load()["metrics"]
+            _seg_paths(workdir, segment["index"], i)["out"]
+            for segment in segments
+            for i in range(segment["partitions"])
+        ],
+        [
+            _seg_paths(workdir, last["index"], i)["checkpoint"]
             for i in range(last["partitions"])
-        ]
+        ],
     )
-    (workdir / "metrics.prom").write_text(final_metrics.render_prometheus())
 
     report: dict[str, Any] = {
         "schema": "botmeterd-cluster-report-v1",
@@ -1016,7 +1028,7 @@ def cluster_replay(
         "payload_lines": len(payload),
         "segments": segments,
         "resumed": resumed,
-        "rows": len(merged),
+        "rows": rows,
         "landscape": str(landscape_path),
         "elapsed_seconds": round(time.monotonic() - t0, 3),
         "verified": None,
@@ -1037,7 +1049,7 @@ def cluster_replay(
             raise ClusterVerifyError(
                 f"merged landscape {landscape_path} differs from the "
                 f"single-daemon replay {reference_path} "
-                f"({len(merged)} merged rows)"
+                f"({rows} merged rows)"
             )
     return report
 
@@ -1255,40 +1267,25 @@ def _supervised_cluster_serve(
         for stream in streams:
             stream.close()
         supervisor.stop()
-    merged = merge_landscape_rows(
-        [
-            (workdir / f"p{i:02d}.out.ndjson").read_bytes().splitlines()
-            for i in range(n)
-            if (workdir / f"p{i:02d}.out.ndjson").exists()
-        ]
+    landscape_path, rows = _publish_merged(
+        workdir,
+        [workdir / f"p{i:02d}.out.ndjson" for i in range(n)],
+        [workdir / f"p{i:02d}.ck.json" for i in range(n)],
     )
-    landscape_path = workdir / "landscape.ndjson"
-    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-    folded = merge_registry_states(
-        [
-            CheckpointStore(workdir / f"p{i:02d}.ck.json").load()["metrics"]
-            for i in range(n)
-        ]
-    )
-    (workdir / "metrics.prom").write_text(folded.render_prometheus())
-    (workdir / "mesh-metrics.prom").write_text(
-        supervisor.metrics.render_prometheus()
-    )
-    _atomic_write_json(
-        workdir / "mesh-ledger.json",
-        {
-            "schema": "botmeterd-mesh-ledger-v1",
-            "ledger": supervisor.ledger,
-            "restarts": {
-                part.label: part.restarts for part in supervisor.partitions
-            },
-        },
-    )
+    with durable.replacing(workdir / "mesh-metrics.prom") as fh:
+        fh.write(supervisor.metrics.render_prometheus().encode("utf-8"))
+    ledger = {
+        "schema": "botmeterd-mesh-ledger-v1",
+        "ledger": supervisor.ledger,
+        "restarts": {part.label: part.restarts for part in supervisor.partitions},
+    }
+    with durable.replacing(workdir / "mesh-ledger.json") as fh:
+        fh.write(_json_bytes(ledger))
     return {
         "schema": "botmeterd-cluster-serve-v1",
         "partitions": n,
         "exit_code": code,
-        "rows": len(merged),
+        "rows": rows,
         "landscape": str(landscape_path),
         "cursors": dict(frontend.cursors),
         "supervised": True,
@@ -1426,27 +1423,16 @@ def cluster_serve(
                 raise ClusterError(
                     f"partition {i} ingest failed: {server.error!r}"
                 ) from server.error
-        merged = merge_landscape_rows(
-            [
-                (workdir / f"p{i:02d}.out.ndjson").read_bytes().splitlines()
-                for i in range(n)
-                if (workdir / f"p{i:02d}.out.ndjson").exists()
-            ]
+        landscape_path, rows = _publish_merged(
+            workdir,
+            [workdir / f"p{i:02d}.out.ndjson" for i in range(n)],
+            [workdir / f"p{i:02d}.ck.json" for i in range(n)],
         )
-        landscape_path = workdir / "landscape.ndjson"
-        landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-        folded = merge_registry_states(
-            [
-                CheckpointStore(workdir / f"p{i:02d}.ck.json").load()["metrics"]
-                for i in range(n)
-            ]
-        )
-        (workdir / "metrics.prom").write_text(folded.render_prometheus())
         return {
             "schema": "botmeterd-cluster-serve-v1",
             "partitions": n,
             "exit_code": code,
-            "rows": len(merged),
+            "rows": rows,
             "landscape": str(landscape_path),
             "cursors": dict(frontend.cursors),
         }

@@ -34,6 +34,7 @@ from ..dga.families import family_names, make_family
 from ..dns.message import ForwardedLookup
 from ..sim.trace import sort_observable
 from ..timebase import SECONDS_PER_DAY, Timeline
+from . import durable
 from .checkpoint import CheckpointError, CheckpointStore
 from .deadletter import MAX_LINE_SNIPPET, DeadLetterQueue
 from .engine import EpochLandscape, ShardedLandscapeEngine
@@ -493,7 +494,8 @@ class BotMeterDaemon:
         if self.engine is not None:
             self.engine.refresh_gauges()
         if self.metrics_path is not None:
-            self.metrics_path.write_text(self.metrics.render_prometheus())
+            with durable.replacing(self.metrics_path) as fh:
+                fh.write(self.metrics.render_prometheus().encode("utf-8"))
         if self.health_path is not None:
             engine = self.engine
             health = {
@@ -515,7 +517,8 @@ class BotMeterDaemon:
                 ),
                 "metrics": self.metrics.snapshot(),
             }
-            self.health_path.write_text(json.dumps(health, indent=2, sort_keys=True) + "\n")
+            with durable.replacing(self.health_path) as fh:
+                fh.write(json.dumps(health, indent=2, sort_keys=True).encode() + b"\n")
 
     def _checkpoint(self, offset: int) -> None:
         if self.store is None:
@@ -566,14 +569,6 @@ class BotMeterDaemon:
         self._since_checkpoint = 0
         self._dump_observability()
 
-    def _truncate_output(self, keep_lines: int) -> None:
-        """Drop output lines the checkpoint never saw (crash window)."""
-        if self.out_path is None or not self.out_path.exists():
-            return
-        raw = self.out_path.read_bytes().split(b"\n")
-        kept = raw[:keep_lines]
-        self.out_path.write_bytes(b"\n".join(kept) + (b"\n" if kept else b""))
-
     def _restore(self, checkpoint: Mapping[str, Any]) -> int:
         if self._doh_adoption is None and "doh_adoption" in checkpoint:
             self._doh_adoption = float(checkpoint["doh_adoption"])
@@ -607,7 +602,9 @@ class BotMeterDaemon:
         if self.deadletter is not None:
             dl_state = checkpoint.get("deadletter", {"entries": 0, "counts": {}})
             self.deadletter.truncate_to(dl_state["entries"], dl_state["counts"])
-        self._truncate_output(self.landscapes_emitted)
+        if self.out_path is not None:
+            # Drop output lines the checkpoint never saw (crash window).
+            durable.truncate_lines(self.out_path, self.landscapes_emitted)
         self.resumed = True
         self._log_event(
             "resumed",

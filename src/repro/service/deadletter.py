@@ -23,6 +23,8 @@ import json
 from pathlib import Path
 from typing import IO, Any, Mapping
 
+from . import durable
+
 __all__ = ["DEADLETTER_SCHEMA", "DeadLetterQueue", "read_deadletters"]
 
 DEADLETTER_SCHEMA = "botmeterd-deadletter-v1"
@@ -37,10 +39,11 @@ class DeadLetterQueue:
     """Append-only NDJSON quarantine with per-reason counts.
 
     The writer is schema-parameterised so other durable NDJSON sidecars
-    with the same append/flush/truncate discipline can reuse it — the
-    cluster router's per-partition failover spool
-    (:mod:`repro.service.meshguard`) tags its file
-    ``botmeterd-spool-v1`` but is otherwise this exact format.
+    with the same append/flush discipline can reuse it — the cluster
+    router's per-partition failover spool (:mod:`repro.service.meshguard`)
+    tags its file ``botmeterd-spool-v1`` but is otherwise this exact
+    format.  Only the daemon's dead-letter queue is ever cut back with
+    :meth:`truncate_to`; nothing truncates a spool.
     """
 
     def __init__(self, path: str | Path, schema: str = DEADLETTER_SCHEMA) -> None:
@@ -79,9 +82,7 @@ class DeadLetterQueue:
     def truncate_to(self, entries: int, counts: Mapping[str, int]) -> None:
         """Drop entries a checkpoint never saw (crash-window recovery)."""
         self.close()
-        if self.path.exists():
-            kept = self.path.read_text().splitlines()[:entries]
-            self.path.write_text("".join(line + "\n" for line in kept))
+        durable.truncate_lines(self.path, entries)
         self.entries = int(entries)
         self.counts = {reason: int(n) for reason, n in counts.items()}
 

@@ -68,6 +68,7 @@ from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
 
+from . import durable
 from .cluster import (
     ClusterError,
     merge_landscape_rows,
@@ -153,11 +154,8 @@ def write_heartbeat(
         "mono": clock(),
         "wall": time.time(),
     }
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(document, sort_keys=True))
-        fh.flush()
-    os.replace(tmp, path)
+    with durable.replacing(path) as fh:
+        fh.write(json.dumps(document, sort_keys=True).encode("utf-8"))
 
 
 def read_heartbeat(path: str | Path) -> dict[str, Any] | None:
@@ -1369,24 +1367,22 @@ def _chaos_run(
         sink.close()
 
     merged = merge_landscape_rows(_partition_rows(run_dir, n))
-    landscape_path = run_dir / "landscape.ndjson"
-    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-
-    degraded_path = run_dir / "degraded.ndjson"
     degraded_lines = [
         row for snapshot in degraded_snapshots for row in snapshot["rows"]
     ]
-    degraded_path.write_text(
-        "\n".join(degraded_lines) + ("\n" if degraded_lines else "")
-    )
     degraded_keys = {
         (json.loads(row)["epoch"], json.loads(row)["family"])
         for row in degraded_lines
     }
     restated = restate_rows(merged, degraded_keys)
-    (run_dir / "restatements.ndjson").write_text(
-        "\n".join(restated) + ("\n" if restated else "")
-    )
+    published = {
+        "landscape": merged,
+        "degraded": degraded_lines,
+        "restatements": restated,
+    }
+    for name, rows in published.items():
+        with durable.replacing(run_dir / f"{name}.ndjson") as fh:
+            fh.write("".join(row + "\n" for row in rows).encode("utf-8"))
 
     spool_audit: dict[str, Any] = {}
     for i in range(n):
@@ -1426,15 +1422,13 @@ def _chaos_run(
         "schedule": list(schedule),
         "spools": spool_audit,
     }
-    (run_dir / "mesh-ledger.json").write_text(
-        json.dumps(ledger_document, indent=2, sort_keys=True) + "\n"
-    )
-    (run_dir / "mesh-metrics.prom").write_text(
-        supervisor.metrics.render_prometheus()
-    )
+    with durable.replacing(run_dir / "mesh-ledger.json") as fh:
+        fh.write(json.dumps(ledger_document, indent=2, sort_keys=True).encode() + b"\n")
+    with durable.replacing(run_dir / "mesh-metrics.prom") as fh:
+        fh.write(supervisor.metrics.render_prometheus().encode("utf-8"))
     return {
-        "landscape": landscape_path.read_bytes(),
-        "degraded": degraded_path.read_bytes(),
+        "landscape": (run_dir / "landscape.ndjson").read_bytes(),
+        "degraded": (run_dir / "degraded.ndjson").read_bytes(),
         "ledger": (run_dir / "mesh-ledger.json").read_bytes(),
         "restatements": (run_dir / "restatements.ndjson").read_bytes(),
         "spools": {

@@ -100,6 +100,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
 
+from . import durable
 from .daemon import BotMeterDaemon
 from .wire2 import sniff_wire2, wire2_to_ndjson_lines
 
@@ -1092,7 +1093,8 @@ def write_address_file(
         "tcp": list(tcp) if tcp is not None else None,
         "uds": uds,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    with durable.replacing(path) as fh:
+        fh.write((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_address_file(path: str | Path, prefer: str = "tcp") -> tuple[str, ...]:

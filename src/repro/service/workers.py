@@ -229,7 +229,13 @@ class _WorkerState:
             self._shard(family, server).import_state(shard_state)
 
 
-def _worker_main(conn: Connection, config: WorkerConfig) -> None:
+def _worker_main(conn: Connection, config: WorkerConfig, inherited: tuple = ()) -> None:
+    # A forked worker inherits the parent's end of its own pipe and of
+    # every earlier worker's.  Holding them open would keep ``recv``
+    # from ever seeing EOF once the parent dies (a SIGKILLed daemon
+    # would leave its workers asleep forever), so drop them first.
+    for parent_end in inherited:
+        parent_end.close()
     state = _WorkerState(config)
     deferred_error: str | None = None
     while True:
@@ -297,7 +303,7 @@ class WorkerPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, config),
+                args=(child_conn, config, (*self._conns, parent_conn)),
                 name=f"botmeterd-ingest-{index}",
                 daemon=True,
             )

@@ -269,6 +269,23 @@ class TestDeadLetterQueue:
         assert entries[-1]["seq"] == 2
         assert queue.counts == {"corrupt": 3}
 
+        # A torn partial line past the cut goes with the crash window,
+        # and the cut is idempotent (a crash after it re-runs it).
+        complete = queue.path.read_bytes()
+        with open(queue.path, "ab") as fh:
+            fh.write(b'{"schema":"botmeterd-dead')
+        queue.truncate_to(3, {"corrupt": 3})
+        assert queue.path.read_bytes() == complete
+        queue.truncate_to(3, {"corrupt": 3})
+        assert queue.path.read_bytes() == complete
+        # Asking for more lines than the file holds leaves it as it is.
+        queue.truncate_to(7, {"corrupt": 7})
+        assert queue.path.read_bytes() == complete
+
+        queue.truncate_to(0, {})
+        assert queue.path.read_bytes() == b""
+        assert (queue.entries, queue.counts) == (0, {})
+
 
 # ---------------------------------------------------------------------------
 # Health state machine

@@ -27,6 +27,32 @@ from repro.sim.trace import sort_observable
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _stat_fields(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or ``None``
+    once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid):
+    """Live processes whose parent is ``pid``."""
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (fields := _stat_fields(entry)) is not None
+        and int(fields[1]) == pid
+        and fields[0] != "Z"
+    ]
+
+
+def _alive(pid):
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 @pytest.fixture(scope="module")
 def merged_pair():
     """Two one-day families over five servers — enough servers that any
@@ -293,9 +319,12 @@ class TestReplayByteIdentity:
 
 
 class TestCrashRecoveryParallel:
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_sigkill_under_four_workers_resumes_byte_identical(self, trace, tmp_path):
         """Kill a 4-worker daemon mid-stream; the resumed run's combined
-        output must equal an uninterrupted serial run's, byte for byte."""
+        output must equal an uninterrupted serial run's, byte for byte,
+        and the killed daemon's workers must exit instead of outliving
+        it as orphans."""
         reference = tmp_path / "reference.ndjson"
         assert main(["replay", str(trace), "--out", str(reference)]) == 0
 
@@ -317,6 +346,7 @@ class TestCrashRecoveryParallel:
             env=env,
             stderr=subprocess.DEVNULL,
         )
+        workers = []
         try:
             deadline = time.monotonic() + 60
             while not checkpoint.exists() and time.monotonic() < deadline:
@@ -324,13 +354,22 @@ class TestCrashRecoveryParallel:
                 time.sleep(0.05)
             assert checkpoint.exists(), "no checkpoint appeared within 60 s"
             time.sleep(0.2)
+            workers = _children(proc.pid)
             proc.kill()  # SIGKILL: no handlers, no worker cleanup
             proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in workers if _alive(pid)]
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
         assert proc.returncode == -signal.SIGKILL
+        assert len(workers) >= 4, f"expected 4 ingest workers, saw {workers}"
+        assert orphans == [], f"workers outlived the killed daemon: {orphans}"
 
         state = json.loads(checkpoint.read_text())
         assert 0 < state["records_consumed"]
